@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -27,12 +29,14 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
-        if self.base_delay_s < 0.0:
-            raise ConfigError("base_delay_s must be non-negative")
-        if self.multiplier < 1.0:
-            raise ConfigError("multiplier must be >= 1")
-        if self.max_delay_s < self.base_delay_s:
-            raise ConfigError("max_delay_s must be >= base_delay_s")
+        # Chained comparisons reject NaN and inf: a non-finite delay would
+        # park retried work forever and stall the simulators.
+        if not 0.0 <= self.base_delay_s < _INF:
+            raise ConfigError("base_delay_s must be non-negative and finite")
+        if not 1.0 <= self.multiplier < _INF:
+            raise ConfigError("multiplier must be >= 1 and finite")
+        if not self.base_delay_s <= self.max_delay_s < _INF:
+            raise ConfigError("max_delay_s must be >= base_delay_s and finite")
 
     def delay_s(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1 = first retry)."""

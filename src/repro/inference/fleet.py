@@ -32,8 +32,10 @@ event emerges from a top-of-heap tournament over the per-replica minima —
 a death simply discards one replica's heap, no tombstones.  The three
 built-in policies run inline against incrementally maintained packed
 integer load keys (an O(R) membership rebuild only on the rare death /
-spawn / drain events), random routing consumes buffered uniform draws,
-and prefix-aware routing scans per-prefix *holder lists* — only the
+spawn / drain events): the least-loaded argmin is a peek into a lazily
+invalidated ``(key, replica)`` heap, O(log R) amortized instead of an
+O(R) scan, random routing consumes buffered uniform draws, and
+prefix-aware routing scans per-prefix *holder lists* — only the
 replicas that actually cache a prefix — instead of the whole fleet.
 Custom routers still see the NumPy-column
 :class:`~repro.inference.router.RouterState` contract.
@@ -56,7 +58,7 @@ from ..errors import ConfigError, SchedulerError
 from ..faults import REPLICA_DEATH, FaultEvent, FaultPlan, RetryPolicy
 from ..utils import derive_rng, percentile
 from .request import SLO, Request
-from .router import Router, RouterState
+from .router import Router, RouterState, load_heap_peek, load_heap_push
 from .scheduler import STEP_IDLE, ServingEngine
 
 if TYPE_CHECKING:  # pools imports fleet; the reverse edge is lazy
@@ -88,6 +90,10 @@ class FleetWorkload:
         for name in ("prompt_tokens", "output_tokens", "prefix_code", "prefix_tokens"):
             if getattr(self, name).shape[0] != n:
                 raise ConfigError(f"workload column {name!r} length mismatch")
+        # NaN passes the sortedness test below and inf sorts last; either
+        # would stall the DES loops, so reject them here.
+        if n and not bool(np.isfinite(self.arrival_s).all()):
+            raise ConfigError("arrival_s must be finite")
         if n and bool(np.any(self.arrival_s[1:] < self.arrival_s[:-1])):
             raise ConfigError("arrival_s must be sorted non-decreasing")
         if n and (int(self.prompt_tokens.min()) < 1 or int(self.output_tokens.min()) < 1):
@@ -211,10 +217,11 @@ class ReplicaModel:
             raise ConfigError("slots must be positive")
         if self.kv_capacity_tokens <= 0:
             raise ConfigError("kv_capacity_tokens must be positive")
-        if self.base_s <= 0.0 or self.per_prefill_token_s <= 0.0:
-            raise ConfigError("latency coefficients must be positive")
-        if self.per_output_token_s <= 0.0:
-            raise ConfigError("per_output_token_s must be positive")
+        # Chained comparisons reject NaN and inf as well as non-positives.
+        if not (0.0 < self.base_s < _INF and 0.0 < self.per_prefill_token_s < _INF):
+            raise ConfigError("latency coefficients must be positive and finite")
+        if not 0.0 < self.per_output_token_s < _INF:
+            raise ConfigError("per_output_token_s must be positive and finite")
         if self.block_tokens <= 0:
             raise ConfigError("block_tokens must be positive")
 
@@ -241,12 +248,11 @@ class AutoscalePolicy:
     def __post_init__(self) -> None:
         if self.min_replicas <= 0 or self.max_replicas < self.min_replicas:
             raise ConfigError("need 0 < min_replicas <= max_replicas")
-        if self.low_queue_per_replica < 0.0 or (
-            self.high_queue_per_replica <= self.low_queue_per_replica
-        ):
-            raise ConfigError("need 0 <= low watermark < high watermark")
-        if self.interval_s <= 0.0 or self.spawn_delay_s < 0.0:
-            raise ConfigError("interval_s must be positive, spawn_delay_s >= 0")
+        # Chained comparisons: a NaN watermark would silently disable scaling.
+        if not 0.0 <= self.low_queue_per_replica < self.high_queue_per_replica < _INF:
+            raise ConfigError("need 0 <= low watermark < high watermark, both finite")
+        if not (0.0 < self.interval_s < _INF and 0.0 <= self.spawn_delay_s < _INF):
+            raise ConfigError("interval_s must be positive, spawn_delay_s >= 0, both finite")
 
 
 # ================================================================ results
@@ -417,9 +423,10 @@ class ClusterFleet:
     built-in policies are specialized inline — the seeded-uniform stream
     is drawn in vectorized blocks, and the least-loaded / prefix-aware
     argmin reads a packed integer load key that admission and completion
-    maintain *incrementally* (O(1) per state change) instead of being
-    recomputed by scanning replicas per decision, which is what the naive
-    baseline does.  A custom :class:`~repro.inference.router.Router`
+    maintain *incrementally* (O(1) per state change, plus one O(log R)
+    push into a lazily invalidated load heap) instead of being recomputed
+    by scanning replicas per decision, which is what the naive baseline
+    does.  A custom :class:`~repro.inference.router.Router`
     subclass still works: the fleet falls back to syncing the
     :class:`~repro.inference.router.RouterState` columns and calling
     ``route`` per request (correct, but off the fast path).
@@ -521,6 +528,13 @@ class ClusterFleet:
         running_l = [0] * max_replicas
         kv_l = [0] * max_replicas
         key_l = [0 if routable_f[r] else huge for r in range(max_replicas)]
+        # Least-loaded index over key_l (router.load_heap_peek), kept only
+        # by the policies that read the argmin; unroutable replicas hold
+        # ``huge``, which no heap entry carries.
+        use_heap = mode == 1 or mode == 2
+        kheap: List[Tuple[int, int]] = (
+            [(0, r) for r in range(self.n_replicas)] if use_heap else []
+        )
         # Prefix caches: code -> cached tokens per replica slot, plus a
         # per-code *holder list* (replicas with a non-zero cache entry) so
         # the prefix-aware scan touches only replicas that can possibly
@@ -659,7 +673,7 @@ class ClusterFleet:
                     j = k - 1
                 r = routable_l[j]
             elif mode == 1:
-                r = key_l.index(min(key_l))
+                r = load_heap_peek(kheap, key_l)
             elif mode == 2:
                 r = -1
                 code = code_l[i]
@@ -691,7 +705,7 @@ class ClusterFleet:
                                     bk = k2
                                     r = r2
                 if r < 0:  # no prefix, or no routable replica caches it
-                    r = key_l.index(min(key_l))
+                    r = load_heap_peek(kheap, key_l)
             else:
                 state.queue_depth[:] = depth_l
                 state.running[:] = running_l
@@ -703,6 +717,8 @@ class ClusterFleet:
                 key_l[r] += span
             if running_l[r] < slots:
                 try_start(r, t)
+            if use_heap:  # modes 1-2 only ever pick routable replicas
+                load_heap_push(kheap, key_l, r, routable_l)
 
         def membership_changed() -> None:
             nonlocal routable_l
@@ -771,9 +787,11 @@ class ClusterFleet:
                         clock = fin
                         if queues[r]:
                             try_start(r, fin)
+                        if use_heap:
+                            load_heap_push(kheap, key_l, r, routable_l)
                         continue
                     # Arrival.  The two cheapest policies are inlined —
-                    # one uniform draw / one C-level min — the rest go
+                    # one uniform draw / one load-heap peek — the rest go
                     # through route_to (identical decisions either way).
                     clock = t_arr
                     if mode == 0:
@@ -792,7 +810,7 @@ class ClusterFleet:
                     elif mode == 1:
                         if not routable_l:
                             raise SchedulerError("no routable replicas")
-                        r = key_l.index(min(key_l))
+                        r = load_heap_peek(kheap, key_l)
                     else:
                         route_to(ptr, t_arr)
                         ptr += 1
@@ -802,6 +820,8 @@ class ClusterFleet:
                     key_l[r] += span
                     if running_l[r] < slots:
                         try_start(r, t_arr)
+                    if use_heap:
+                        load_heap_push(kheap, key_l, r, routable_l)
                     ptr += 1
                 if completed + rejected >= n:
                     break
@@ -842,6 +862,8 @@ class ClusterFleet:
                     clock = fin
                     if queues[r]:
                         try_start(r, fin)
+                    if use_heap and routable_f[r]:
+                        load_heap_push(kheap, key_l, r, routable_l)
                     if draining[r] and running_l[r] == 0 and not queues[r]:
                         retire(r)
                     continue
@@ -952,6 +974,8 @@ class ClusterFleet:
                     spawns += 1
                     state.routable[slot] = True
                     membership_changed()
+                    if use_heap:
+                        load_heap_push(kheap, key_l, slot, routable_l)
             elif best_kind == 2:
                 _, _, i = heappop(retry_heap)
                 route_to(i, best_t)

@@ -30,7 +30,8 @@ which the naive-baseline parity suite relies on.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -197,6 +198,43 @@ class LeastLoadedRouter(Router):
         if self._state.routable_indices.shape[0] == 0:
             raise SchedulerError("no routable replicas")
         return int(np.argmin(self.load_key()))
+
+
+# Lazily invalidated load heap.  Scalar DES loops keep the packed keys
+# above in a Python list ``keys``, one slot per replica (unroutable slots
+# hold a sentinel no entry ever carries), plus a heap of ``(key, replica)``
+# entries.  An entry is live iff it still equals ``keys[replica]``.  The
+# invariant: every routable replica has its current key in the heap, so
+# the loop calls :func:`load_heap_push` once after each key change of a
+# routable replica settles.  Heap order ``(key, replica)`` breaks ties to
+# the lowest index, exactly as ``keys.index(min(keys))`` does, at
+# O(log R) amortized per decision instead of an O(R) scan.
+def load_heap_peek(heap: List[Tuple[int, int]], keys: List[int]) -> int:
+    """The least-loaded replica: drop stale entries off the head, return it.
+
+    The heap must hold a live entry (some replica is routable); the live
+    head stays in place for the caller's next push to invalidate.
+    """
+    while True:
+        k, r = heap[0]
+        if keys[r] == k:
+            return r
+        heappop(heap)
+
+
+def load_heap_push(
+    heap: List[Tuple[int, int]], keys: List[int], r: int, members: List[int]
+) -> None:
+    """Index routable replica ``r``'s settled key.
+
+    Stale entries below the head are never popped, so past ``4 * len(keys)
+    + 64`` entries the heap is rebuilt from the routable ``members``,
+    keeping memory O(R).
+    """
+    heappush(heap, (keys[r], r))
+    if len(heap) > 4 * len(keys) + 64:
+        heap[:] = [(keys[m], m) for m in members]
+        heapify(heap)
 
 
 class PrefixAwareRouter(Router):

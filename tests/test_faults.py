@@ -167,6 +167,14 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError):
             RetryPolicy().delay_s(0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["base_delay_s", "max_delay_s", "multiplier"])
+    def test_non_finite_rejected(self, field, bad):
+        # A non-finite delay would park retried work forever, and the
+        # fleet DES would only fail much later with "fleet stalled".
+        with pytest.raises(ConfigError):
+            RetryPolicy(**{field: bad})
+
 
 class TestServingCrashRecovery:
     """Chaos smoke: the engine absorbs lane crashes (tier-1 fast config)."""

@@ -43,6 +43,8 @@ from repro.inference import (
     shared_prefix_workload,
     summarize_fleet,
 )
+from repro.inference.router import load_heap_peek, load_heap_push
+from repro.utils import derive_rng
 
 POLICIES = ("random", "least-loaded", "prefix-aware")
 
@@ -95,6 +97,20 @@ class TestFleetWorkload:
                 prefix_code=np.array([-1, -1]),
                 prefix_tokens=np.array([0, 0]),
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_arrival_rejected(self, bad):
+        # NaN passes a sortedness test (every comparison is False) and a
+        # trailing inf is sorted; either would stall the DES loops.
+        for arrival in ([0.0, 1.0, bad], [bad, 0.0, 1.0], [0.0, bad, 1.0]):
+            with pytest.raises(ConfigError):
+                FleetWorkload(
+                    arrival_s=np.array(arrival),
+                    prompt_tokens=np.array([4, 4, 4]),
+                    output_tokens=np.array([2, 2, 2]),
+                    prefix_code=np.array([-1, -1, -1]),
+                    prefix_tokens=np.array([0, 0, 0]),
+                )
 
     def test_poisson_workload_deterministic(self):
         a = small_workload(500, seed=11)
@@ -217,6 +233,48 @@ class TestRouters:
             make_router("round-robin")
 
 
+class TestLoadHeap:
+    """The lazily invalidated least-loaded heap against ``index(min(...))``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_peek_matches_index_of_min(self, seed):
+        rng = derive_rng(seed, "test", "load-heap")
+        n, huge, span = 24, 1 << 62, 4
+        keys = [0] * n
+        heap = [(0, r) for r in range(n)]
+        rebuilds = deaths = respawns = zero_ties = 0
+        for _ in range(20_000):
+            members = [r for r in range(n) if keys[r] != huge]
+            dead = [r for r in range(n) if keys[r] == huge]
+            size = len(heap)
+            u = float(rng.random())
+            if u < 0.02 and len(members) > 1:
+                # Death / drain: the key goes to the sentinel, nothing pushed.
+                keys[members[int(rng.integers(len(members)))]] = huge
+                deaths += 1
+            elif u < 0.04 and dead:
+                r = dead[int(rng.integers(len(dead)))]
+                keys[r] = 0
+                load_heap_push(heap, keys, r, sorted(members + [r]))
+                respawns += 1
+            else:
+                r = members[int(rng.integers(len(members)))]
+                # Small interleaved += / -= steps: keys revisit old values
+                # (stale entries come back to life) and tie often at 0.
+                step = int(rng.integers(1, 3)) * span + int(rng.integers(0, 2))
+                if rng.random() < 0.5 and keys[r] >= step:
+                    keys[r] -= step
+                else:
+                    keys[r] += step
+                load_heap_push(heap, keys, r, members)
+            rebuilds += len(heap) < size
+            assert len(heap) <= 4 * n + 64
+            expect = keys.index(min(keys))
+            assert load_heap_peek(heap, keys) == expect
+            zero_ties += keys.count(0) > 1
+        assert rebuilds > 0 and deaths > 0 and respawns > 0 and zero_ties > 0
+
+
 # ============================================================ cluster DES
 class TestClusterFleetParity:
     @pytest.mark.parametrize("policy", POLICIES)
@@ -249,6 +307,59 @@ class TestClusterFleetParity:
         assert res.equals(lres)
         assert res.deaths > 0
 
+    @pytest.mark.parametrize("policy", ["least-loaded", "prefix-aware"])
+    def test_bitwise_parity_512_replicas(self, policy):
+        """Wide fleet: the load heap decides among hundreds of tied idle
+        replicas through deaths, shedding, spawns and drains."""
+        shape = dict(
+            prompt_mean=256,
+            output_mean=16,
+            num_prefixes=8,
+            prefix_tokens=512,
+            prefix_fraction=0.7,
+        )
+        # An overload burst (queues build, spawns), then a calm tail
+        # (idle replicas tie at key 0, drains).
+        burst = fleet_poisson_workload(6000, rate_rps=12000.0, seed=5, **shape)
+        calm = fleet_poisson_workload(6000, rate_rps=600.0, seed=6, **shape)
+
+        def cat(field):
+            return np.concatenate([getattr(burst, field), getattr(calm, field)])
+
+        w = FleetWorkload(
+            arrival_s=np.concatenate(
+                [burst.arrival_s, calm.arrival_s + burst.arrival_s[-1]]
+            ),
+            prompt_tokens=cat("prompt_tokens"),
+            output_tokens=cat("output_tokens"),
+            prefix_code=cat("prefix_code"),
+            prefix_tokens=cat("prefix_tokens"),
+        )
+        horizon = float(w.arrival_s[-1])
+        model = ReplicaModel(slots=2, kv_capacity_tokens=8192)
+        kw = dict(
+            model=model,
+            faults=FaultPlan.seeded(
+                seed=11, horizon_s=horizon, rates={REPLICA_DEATH: 6.0 / horizon}
+            ),
+            retry=RetryPolicy(),
+            shed_slo=SLO(ttft_s=1.0),
+            autoscale=AutoscalePolicy(
+                min_replicas=64,
+                max_replicas=544,
+                high_queue_per_replica=2.0,
+                low_queue_per_replica=0.5,
+                interval_s=0.1,
+                spawn_delay_s=0.1,
+            ),
+        )
+        res = ClusterFleet(512, make_router(policy, seed=3), **kw).run(w)
+        lres = LegacyClusterFleet(512, policy, router_seed=3, **kw).run(w)
+        assert res.equals(lres)
+        assert res.deaths > 0 and res.spawns > 0 and res.drains > 0
+        assert res.rejected_total > 0
+        assert res.completed + res.rejected_total == w.n
+
     def test_empty_fault_plan_is_inert(self):
         """faults=FaultPlan.empty() must not move the trajectory one bit."""
         w = small_workload()
@@ -261,6 +372,32 @@ class TestClusterFleetParity:
                 faults=FaultPlan.empty(),
             )
             assert bare.run(w).equals(empty.run(w))
+
+
+class TestFleetConfig:
+    """Non-finite configuration fails fast with ConfigError at construction."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["base_s", "per_prefill_token_s", "per_output_token_s"]
+    )
+    def test_replica_model_non_finite(self, field, bad):
+        with pytest.raises(ConfigError):
+            ReplicaModel(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "interval_s",
+            "spawn_delay_s",
+            "high_queue_per_replica",
+            "low_queue_per_replica",
+        ],
+    )
+    def test_autoscale_non_finite(self, field, bad):
+        with pytest.raises(ConfigError):
+            AutoscalePolicy(**{field: bad})
 
 
 class TestClusterFleetBehavior:
