@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Pre-commit gate: ruff -> mypy (analysis/faults/semopt, strict) -> repro-lint -> tier-1.
+# Pre-commit gate: ruff -> mypy (analysis/faults/semopt, strict) -> repro-lint -> tier-1
+# -> perf smokes -> perfbench self-test.
 #
 # Usage (from the repo root):
 #     bash scripts/check.sh
@@ -92,6 +93,14 @@ python -m pytest "benchmarks/perf/test_perf_semopt.py::test_semopt_smoke" -q -m 
 # recall@10 within tolerance of the frozen full rebuild — on every commit.
 step "stream perf smoke (benchmarks/perf/test_perf_stream.py::test_stream_smoke)"
 python -m pytest "benchmarks/perf/test_perf_stream.py::test_stream_smoke" -q -m perf || failures=$((failures + 1))
+
+# Repo benchmark self-test: a toy-scale pass of every perfbench workload,
+# traced and untraced, with each workload's output checks.  On figure1 that
+# is the deep checks (stream survivors == rebuild_from_scratch,
+# generate_many == looped generate); on the fleets, parity with the frozen
+# twins.  Also the tracer and stopwatch unit tests (~25 s in all).
+step "perfbench self-test (perfbench/)"
+python3 -m pytest perfbench -q || failures=$((failures + 1))
 
 echo
 if [ "$failures" -ne 0 ]; then

@@ -92,7 +92,8 @@ class MigrationPolicy:
     drain_running: bool = True
 
     def __post_init__(self) -> None:
-        if self.hot_queue_ratio <= 1.0:
+        # inf is allowed (no replica is ever hot); NaN fails the comparison.
+        if not self.hot_queue_ratio > 1.0:
             raise ConfigError("hot_queue_ratio must exceed 1")
         if self.min_queue < 1:
             raise ConfigError("min_queue must be >= 1")
@@ -126,8 +127,8 @@ class PoolSpec:
                 "prefill and decode pools come in pairs: a prefill-only or "
                 "decode-only fleet cannot serve a request end to end"
             )
-        if self.warmup_s < 0.0:
-            raise ConfigError("warmup_s must be non-negative")
+        if not 0.0 <= self.warmup_s < _INF:
+            raise ConfigError("warmup_s must be non-negative and finite")
 
     @property
     def total(self) -> int:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class TransferModel:
@@ -39,13 +41,14 @@ class TransferModel:
     def __post_init__(self) -> None:
         # overlap > 1 yields *negative* visible delay and non-positive
         # bandwidth/bytes_per_token yields infinite or negative wire time —
-        # all of which silently corrupt goodput numbers downstream.
+        # all of which silently corrupt goodput numbers downstream, as does a
+        # NaN or inf rate.  Each test is a negated range, so NaN fails it.
         if not 0.0 <= self.overlap <= 1.0:
             raise ConfigError("overlap must be in [0, 1]")
-        if self.bandwidth <= 0.0:
-            raise ConfigError("bandwidth must be positive")
-        if self.bytes_per_token <= 0.0:
-            raise ConfigError("bytes_per_token must be positive")
+        if not 0.0 < self.bandwidth < _INF:
+            raise ConfigError("bandwidth must be positive and finite")
+        if not 0.0 < self.bytes_per_token < _INF:
+            raise ConfigError("bytes_per_token must be positive and finite")
 
     def raw_delay(self, prompt_tokens: int) -> float:
         """Wire time of the full KV payload, before any compute overlap."""

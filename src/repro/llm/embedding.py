@@ -19,15 +19,141 @@ Two refinements close the gap to learned embedders:
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..utils import normalize, stable_hash
 from .tokenizer import Tokenizer, default_tokenizer
+
+
+# --------------------------------------------------------- token vectors
+# A token vector is defined as
+#     v = default_rng(stable_hash(f"emb:{seed}:{key}")).standard_normal(dim)
+#     v = v.astype(float32) / np.linalg.norm(v)
+# (the frozen prep baseline pins it bit for bit).  Building a default_rng
+# per key spends most of a cache miss constructing SeedSequence + PCG64 +
+# Generator, so ``_token_vector_block`` replays that construction for a
+# whole batch: the SeedSequence hash of every key at once in uint32 lanes,
+# PCG64's seeding step in 128-bit integer arithmetic, and the normals from
+# one reused Generator whose state is set per key.
+
+# numpy.random.SeedSequence mixing constants (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_INF = float("inf")
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> List[Tuple[int, int]]:
+    """``(xor, mult)`` operand pairs of successive SeedSequence hashmix calls.
+
+    The running hash constant only depends on the call count, never on the
+    data, so each call's operands are fixed numbers.
+    """
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return list(zip(chain, chain[1:]))
+
+
+# Entropy mixing makes 4 + 4*3 hashmix calls; generate_state(4, uint64) 8.
+_MIX_CONSTS = _hash_consts(_INIT_A, _MULT_A, 16)
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
+    value = (value ^ np.uint32(xor)) * np.uint32(mult)
+    return value ^ (value >> np.uint32(16))
+
+
+def seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each uint64 ``e``.
+
+    Returns an ``(n, 4)`` uint64 array.  A seed below 2**32 is one uint32
+    word of entropy and a larger one two; the 4-word pool pads with zero
+    words either way, so every seed takes the two-word path.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint64)
+    consts = iter(_MIX_CONSTS)
+    low = (entropy & np.uint64(_MASK32)).astype(np.uint32)
+    high = (entropy >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [_hashmix(word, *next(consts)) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (
+                    np.uint32(_MIX_MULT_L) * pool[dst]
+                    - np.uint32(_MIX_MULT_R) * _hashmix(pool[src], *next(consts))
+                )
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    words = [
+        _hashmix(pool[i % 4], xor, mult).astype(np.uint64)
+        for i, (xor, mult) in enumerate(_STATE_CONSTS)
+    ]
+    # uint64 output reads the uint32 words as little-endian pairs.
+    return np.stack(
+        [words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4)], axis=1
+    )
+
+
+def _token_vector_block(keys: Sequence[str], seed: int, dim: int) -> np.ndarray:
+    """The unit token vectors of ``keys`` as one ``(len(keys), dim)`` float32 block."""
+    entropy = np.fromiter(
+        (stable_hash(f"emb:{seed}:{key}") for key in keys),
+        dtype=np.uint64,
+        count=len(keys),
+    )
+    bitgen = np.random.PCG64(0)
+    # repro-lint: disable=R008 — not a stream: every draw below first resets
+    # the state to the content-addressed default_rng(stable_hash(key)) seed
+    # that the frozen prep-parity baseline pins (tests/test_prep_batch.py);
+    # derive_rng would shift every committed embedding-dependent golden
+    gen = np.random.Generator(bitgen)
+    state = {
+        "bit_generator": "PCG64",
+        "state": {"state": 0, "inc": 0},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    pcg = state["state"]
+    block = np.empty((len(keys), dim), dtype=np.float64)
+    for row, (s_hi, s_lo, q_hi, q_lo) in zip(block, seed_sequence_words(entropy).tolist()):
+        # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1; from state 0,
+        # one LCG step, add initstate, one more LCG step.
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    vectors = block.astype(np.float32)
+    # np.linalg.norm of a 1-D float32 vector is sqrt(v.dot(v)): the same
+    # float32 BLAS dot per row, then float32 sqrt and division.
+    sq_norms = np.array([row.dot(row) for row in vectors], dtype=np.float32)
+    vectors /= np.sqrt(sq_norms)[:, None]
+    return vectors
+
+
+def _idf_of(doc_freq: np.ndarray, num_docs: int) -> np.ndarray:
+    """``log((1 + num_docs) / (1 + df)) + 1`` per df (1.0 with no documents),
+    with one ``math.log`` per distinct df value."""
+    if not num_docs:
+        return np.ones(doc_freq.shape[0], dtype=np.float64)
+    values, inverse = np.unique(doc_freq, return_inverse=True)
+    idf = [math.log((1 + num_docs) / (1 + df)) + 1.0 for df in values.tolist()]
+    return np.array(idf, dtype=np.float64)[inverse]
 
 
 @dataclass
@@ -64,8 +190,17 @@ class EmbeddingModel:
     _stale_docs: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("dim", "stem_len"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.dim < 8:
             raise ConfigError(f"embedding dim too small: {self.dim}")
+        if self.stem_len < 1:
+            raise ConfigError(f"stem_len must be >= 1, got {self.stem_len}")
+        # Chained comparisons reject NaN and inf as well as negatives; a
+        # weight of 0 switches its feature off.
+        if not (0.0 <= self.stem_weight < _INF and 0.0 <= self.bigram_weight < _INF):
+            raise ConfigError("stem_weight and bigram_weight must be finite and >= 0")
 
     # ------------------------------------------------------------------ IDF
     def fit_idf(self, corpus: Iterable[str]) -> "EmbeddingModel":
@@ -118,21 +253,23 @@ class EmbeddingModel:
         hapax tokens from dominating). 0.0 when nothing is pinned or no
         documents have been folded in since pinning.
         """
-        if self._pinned_doc_freq is None or not self._stale_docs:
+        if self._pinned_doc_freq is None or not self._stale_docs or not self._doc_freq:
             return 0.0
-        live_n = self._num_docs
-        pin_n = self._pinned_num_docs
-        num = 0.0
-        den = 0.0
-        pinned = self._pinned_doc_freq
-        for token, df in self._doc_freq.items():
-            idf_live = math.log((1 + live_n) / (1 + df)) + 1.0
-            pin_df = pinned.get(token, 0)
-            idf_pin = (
-                math.log((1 + pin_n) / (1 + pin_df)) + 1.0 if pin_n else 1.0
-            )
-            num += df * abs(idf_live - idf_pin)
-            den += df * idf_live
+        # The pin is a snapshot of a dict that only grows, so its keys are a
+        # prefix of the live keys in insertion order: pinned df is the live
+        # order's df zero-padded past the snapshot.  log() runs once per
+        # distinct df value; the sums add term by term in float64 like a
+        # scalar loop would (accumulate never reassociates).
+        live_df = np.fromiter(self._doc_freq.values(), dtype=np.int64, count=len(self._doc_freq))
+        pin_df = np.zeros_like(live_df)
+        pin_df[: len(self._pinned_doc_freq)] = np.fromiter(
+            self._pinned_doc_freq.values(), dtype=np.int64, count=len(self._pinned_doc_freq)
+        )
+        idf_live = _idf_of(live_df, self._num_docs)
+        idf_pin = _idf_of(pin_df, self._pinned_num_docs)
+        weight = live_df.astype(np.float64)
+        num = float(np.add.accumulate(weight * np.abs(idf_live - idf_pin))[-1])
+        den = float(np.add.accumulate(weight * idf_live)[-1])
         return num / den if den else 0.0
 
     def refresh(self, threshold: float = 0.05) -> bool:
@@ -164,51 +301,26 @@ class EmbeddingModel:
         return math.log((1 + self._num_docs) / (1 + df)) + 1.0
 
     # -------------------------------------------------------------- vectors
-    def _unit_vector(self, key: str) -> np.ndarray:
-        vec = self._token_vectors.get(key)
-        if vec is None:
-            # repro-lint: disable=R008 — seeded, content-addressed stream whose
-            # identity is pinned by the frozen prep-parity baseline
-            # (tests/test_prep_batch.py); rederiving via derive_rng would shift
-            # every committed embedding-dependent golden
-            rng = np.random.default_rng(stable_hash(f"emb:{self.seed}:{key}"))
-            vec = rng.standard_normal(self.dim).astype(np.float32)
-            vec /= np.linalg.norm(vec)
-            self._token_vectors[key] = vec
-        return vec
+    def _unit_vectors(self, keys: Iterable[str]) -> List[np.ndarray]:
+        """Cached unit vectors of distinct ``keys``; every missing key is
+        generated in one :func:`_token_vector_block` call."""
+        cache = self._token_vectors
+        keys = list(keys)
+        missing = [key for key in keys if key not in cache]
+        if missing:
+            cache.update(zip(missing, _token_vector_block(missing, self.seed, self.dim)))
+        return [cache[key] for key in keys]
 
-    def embed(self, text: str) -> np.ndarray:
-        """Embed ``text`` into a unit-norm float32 vector."""
-        tokens = self.tokenizer.content_tokens(text)
-        acc = np.zeros(self.dim, dtype=np.float32)
-        if not tokens:
-            return self._unit_vector("<empty>").copy()
-        for token in tokens:
-            weight = self._idf(token)
-            acc += weight * self._unit_vector(token)
-            if self.stem_weight > 0 and len(token) > self.stem_len:
-                acc += weight * self.stem_weight * self._unit_vector(token[: self.stem_len])
-        if self.bigram_weight > 0:
-            for left, right in zip(tokens, tokens[1:]):
-                acc += self.bigram_weight * self._unit_vector(f"{left}##{right}")
-        return normalize(acc).astype(np.float32)
+    def _contributions(
+        self, token_lists: Sequence[Sequence[str]]
+    ) -> Tuple[Dict[str, int], List[List[int]], List[List[float]]]:
+        """Per text, the ``(key id, weight)`` adds of an embedding, in order.
 
-    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """Embed many texts; returns an ``(n, dim)`` float32 matrix.
-
-        Bit-identical to stacking per-text :meth:`embed` calls, but batched:
-        one tokenizer pass, one IDF lookup per distinct token, one
-        ``_unit_vector`` lookup per distinct key, and the accumulation runs
-        as column-slab adds over texts sorted by contribution count. Each
-        text's contributions are applied in the same order as :meth:`embed`
-        (rows are independent, and float32 elementwise ops do not
-        reassociate across rows), so every intermediate rounding step
-        matches the sequential path exactly.
+        Each content token adds its vector at its IDF weight, followed by
+        its ``stem_len`` prefix at ``weight * stem_weight`` when the token is
+        longer; the adjacent bigrams then add at ``bigram_weight``.  Returns
+        the distinct keys (dict order = id) and per-text id / weight lists.
         """
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float32)
-        token_lists = self.tokenizer.content_tokens_many(list(texts))
-        n = len(token_lists)
         key_ids: Dict[str, int] = {}
         key_of = key_ids.setdefault
         idf_cache: Dict[str, float] = {}
@@ -235,9 +347,40 @@ class EmbeddingModel:
                     weights.append(bigram_weight)
             contrib_ids.append(ids)
             contrib_weights.append(weights)
-        table = np.empty((len(key_ids), self.dim), dtype=np.float32)
-        for key, kid in key_ids.items():
-            table[kid] = self._unit_vector(key)
+        return key_ids, contrib_ids, contrib_weights
+
+    def embed(self, text: str) -> np.ndarray:
+        """Embed ``text`` into a unit-norm float32 vector."""
+        tokens = self.tokenizer.content_tokens(text)
+        if not tokens:
+            return self._unit_vectors(["<empty>"])[0].copy()
+        key_ids, (ids,), (weights,) = self._contributions([tokens])
+        vectors = self._unit_vectors(key_ids)
+        acc = np.zeros(self.dim, dtype=np.float32)
+        for kid, weight in zip(ids, weights):
+            acc += weight * vectors[kid]
+        return normalize(acc).astype(np.float32)
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """Embed many texts; returns an ``(n, dim)`` float32 matrix.
+
+        Bit-identical to stacking per-text :meth:`embed` calls, but batched:
+        one tokenizer pass, one IDF lookup per distinct token, one cache
+        lookup per distinct key with every missing key generated in a single
+        batch, and the accumulation runs as column-slab adds over texts
+        sorted by contribution count. Each text's contributions are applied
+        in the same order as :meth:`embed` (rows are independent, and
+        float32 elementwise ops do not reassociate across rows), so every
+        intermediate rounding step matches the sequential path exactly.
+        """
+        if not texts:
+            return np.zeros((0, self.dim), dtype=np.float32)
+        token_lists = self.tokenizer.content_tokens_many(list(texts))
+        n = len(token_lists)
+        key_ids, contrib_ids, contrib_weights = self._contributions(token_lists)
+        # "<empty>" cannot be a content token, so it never collides.
+        empty_id = key_ids.setdefault("<empty>", len(key_ids)) if not all(token_lists) else -1
+        table = np.stack(self._unit_vectors(key_ids))
         counts = np.array([len(ids) for ids in contrib_ids], dtype=np.int64)
         order = np.argsort(-counts, kind="stable")
         sorted_counts = counts[order]
@@ -269,14 +412,8 @@ class EmbeddingModel:
             )
         out = np.empty((n, self.dim), dtype=np.float32)
         out[order] = acc
-        empty_vec: Optional[np.ndarray] = None
         for i, tokens in enumerate(token_lists):
-            if tokens:
-                out[i] = normalize(out[i]).astype(np.float32)
-            else:
-                if empty_vec is None:
-                    empty_vec = self._unit_vector("<empty>")
-                out[i] = empty_vec
+            out[i] = normalize(out[i]).astype(np.float32) if tokens else table[empty_id]
         return out
 
     def similarity(self, a: str, b: str) -> float:

@@ -325,6 +325,12 @@ class TestTransferModelValidation:
         with pytest.raises(ConfigError):
             TransferModel(bytes_per_token=bytes_per_token)
 
+    @pytest.mark.parametrize("field", ["bandwidth", "bytes_per_token"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rates(self, field, value):
+        with pytest.raises(ConfigError):
+            TransferModel(**{field: value})
+
     def test_boundary_overlaps_allowed(self):
         # Full overlap hides the whole transfer; zero overlap hides nothing.
         assert TransferModel(overlap=1.0).visible_delay(100) == 0.0

@@ -134,6 +134,17 @@ class TestPoolSpec:
         with pytest.raises(ConfigError):
             MigrationPolicy(min_queue=0)
 
+    @pytest.mark.parametrize("warmup_s", [float("nan"), float("inf")])
+    def test_rejects_non_finite_warmup(self, warmup_s):
+        with pytest.raises(ConfigError):
+            PoolSpec(colocated=1, warmup_s=warmup_s)
+
+    def test_migration_policy_rejects_nan_ratio(self):
+        with pytest.raises(ConfigError):
+            MigrationPolicy(hot_queue_ratio=float("nan"))
+        # An infinite ratio is a valid way to never call a replica hot.
+        assert MigrationPolicy(hot_queue_ratio=float("inf")).hot_queue_ratio == float("inf")
+
     def test_pool_target_parses_and_rejects_typo(self):
         assert pool_target("pool-decode") == "decode"
         assert pool_target("pool-prefill") == "prefill"

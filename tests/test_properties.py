@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) on core invariants across modules."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.synth import TrainingDocument
@@ -186,6 +188,160 @@ def test_embedding_symmetry_and_bounds(a, b):
     assert abs(sim_ab - sim_ba) < 1e-5
     assert -1.0 - 1e-5 <= sim_ab <= 1.0 + 1e-5
     assert model.similarity(a, a) == pytest.approx(1.0, abs=1e-5)
+
+
+# ------------------------------------------------------- embedder fuzzing
+# Differential fuzz of EmbeddingModel against the frozen per-key baseline
+# (benchmarks/perf/_legacy_prep.py).  Bounded and derandomized so it runs in
+# tier-1; the explicit examples are kept as a regression set.
+_WORD_POOL = [
+    "data", "index", "configure", "configuration", "configured", "retrieval",
+    "café", "naïve", "東京", "straße", "snake_case", "__", "_", "x_1",
+    "supercalifragilistic", "antidisestablishmentarianism", "a", "42",
+]
+_SEPARATORS = [" ", "  ", "\t", "\n", ", ", "! ", "... ", "-", " (", ") "]
+
+
+def _embed_text() -> st.SearchStrategy:
+    """Texts covering the tokenizer's edge cases, plus arbitrary unicode."""
+    words = st.lists(
+        st.tuples(st.sampled_from(_WORD_POOL), st.sampled_from(_SEPARATORS)),
+        max_size=10,
+    ).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+    repeated = st.tuples(st.sampled_from(_WORD_POOL), st.integers(2, 6)).map(
+        lambda wr: " ".join([wr[0]] * wr[1])
+    )
+    return st.one_of(
+        st.just(""),
+        st.text(alphabet=" \t\n", max_size=6),
+        st.text(alphabet="!?.,;:-()'\"/#", min_size=1, max_size=8),
+        words,
+        repeated,
+        st.text(max_size=40),
+    )
+
+
+@st.composite
+def _embed_cases(draw):
+    """A model config, IDF history, warm-up texts and the texts to embed."""
+    texts = draw(st.lists(_embed_text(), min_size=1, max_size=6))
+    return {
+        "dim": draw(st.sampled_from([8, 13, 64])),
+        "seed": draw(st.sampled_from([0, 1, 90017])),
+        "idf": draw(st.sampled_from(["none", "fit", "pin_refresh"])),
+        "corpus_a": draw(st.lists(_embed_text(), max_size=4)),
+        "corpus_b": draw(st.lists(_embed_text(), max_size=4)),
+        # Embedded first so the checked call mixes cached and missing keys.
+        "warm": draw(st.lists(st.sampled_from(texts + ["data index"]), max_size=3)),
+        "texts": texts,
+    }
+
+
+@given(_embed_cases())
+@example(
+    {"dim": 13, "seed": 0, "idf": "none", "corpus_a": [], "corpus_b": [],
+     "warm": [], "texts": ["", "  \t", "?!", "snake_case __ _"]}
+)
+@example(
+    {"dim": 64, "seed": 1, "idf": "pin_refresh",
+     "corpus_a": ["data index", "configure data"], "corpus_b": ["café naïve", "东京 data"],
+     "warm": ["data index"],
+     "texts": ["data data data index", "antidisestablishmentarianism configuration"]}
+)
+@example(
+    {"dim": 8, "seed": 90017, "idf": "fit", "corpus_a": ["", "x_1 42"], "corpus_b": [],
+     "warm": ["a a a"], "texts": ["a a a", "supercalifragilistic 42 a", ""]}
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_embedder_matches_legacy_oracle(case):
+    """embed / embed_batch are bitwise equal to the frozen per-key embedder
+    on edge-case texts, across seeds, dims, IDF modes and warm caches."""
+    from benchmarks.perf._legacy_prep import LegacyEmbeddingModel
+    from repro.llm.embedding import EmbeddingModel
+
+    dim, seed = case["dim"], case["seed"]
+    model = EmbeddingModel(dim=dim, seed=seed)
+    oracle = LegacyEmbeddingModel(dim=dim, seed=seed)
+    if case["idf"] == "fit":
+        model.fit_idf(case["corpus_a"])
+        oracle.fit_idf(case["corpus_a"])
+    elif case["idf"] == "pin_refresh":
+        # Embeddings read the pinned stats: corpus_a until a refresh re-pins
+        # on corpus_a + corpus_b.
+        model.fit_idf(case["corpus_a"]).partial_fit_idf(case["corpus_b"])
+        oracle.fit_idf(case["corpus_a"])
+        for text in case["texts"]:
+            assert np.array_equal(model.embed(text), oracle.embed(text))
+        if model.refresh(0.0):
+            oracle.fit_idf(case["corpus_b"])
+    if case["warm"]:
+        model.embed_batch(case["warm"])
+        model.embed(case["warm"][0])
+    batch = model.embed_batch(case["texts"])
+    expected = np.stack([oracle.embed(text) for text in case["texts"]])
+    assert batch.dtype == np.float32
+    assert np.array_equal(batch, expected)
+    for text, row in zip(case["texts"], expected):
+        assert np.array_equal(model.embed(text), row)
+    for key, vec in model._token_vectors.items():
+        assert np.array_equal(vec, oracle._unit_vector(key)), key
+
+
+_SEED_BOUNDARIES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_seed_sequence_words_match_numpy(seeds):
+    """The batched SeedSequence kernel equals numpy's, seed by seed."""
+    from repro.llm.embedding import seed_sequence_words
+
+    seeds = seeds + _SEED_BOUNDARIES
+    words = seed_sequence_words(np.array(seeds, dtype=np.uint64))
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    for seed, row in zip(seeds, words):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert np.array_equal(row, expected), seed
+
+
+def _idf_drift_loop(model) -> float:
+    """The scalar definition of EmbeddingModel.idf_drift, term by term."""
+    if model._pinned_doc_freq is None or not model._stale_docs:
+        return 0.0
+    live_n, pin_n = model._num_docs, model._pinned_num_docs
+    num = den = 0.0
+    for token, df in model._doc_freq.items():
+        idf_live = math.log((1 + live_n) / (1 + df)) + 1.0
+        pin_df = model._pinned_doc_freq.get(token, 0)
+        idf_pin = math.log((1 + pin_n) / (1 + pin_df)) + 1.0 if pin_n else 1.0
+        num += df * abs(idf_live - idf_pin)
+        den += df * idf_live
+    return num / den if den else 0.0
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["fit", "partial", "refresh"]),
+            st.lists(_embed_text(), max_size=5),
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_idf_drift_matches_scalar_loop(ops):
+    """The vectorized idf_drift is bitwise equal to the per-token loop."""
+    from repro.llm.embedding import EmbeddingModel
+
+    model = EmbeddingModel(dim=8)
+    for op, corpus in ops:
+        if op == "fit":
+            model.fit_idf(corpus)
+        elif op == "partial":
+            model.partial_fit_idf(corpus)
+        else:
+            model.refresh(0.01)
+        assert model.idf_drift() == _idf_drift_loop(model)
 
 
 # ------------------------------------------------------------- serving DES

@@ -112,6 +112,35 @@ class TestEmbedding:
         with pytest.raises(ConfigError):
             EmbeddingModel(dim=4)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"stem_len": 0},
+            {"stem_len": -3},
+            {"stem_weight": float("nan")},
+            {"stem_weight": -0.1},
+            {"stem_weight": float("inf")},
+            {"bigram_weight": float("nan")},
+            {"bigram_weight": -0.25},
+            {"dim": 64.0},
+            {"dim": "64"},
+            {"stem_len": 2.5},
+        ],
+        ids=repr,
+    )
+    def test_rejects_bad_config(self, kwargs):
+        with pytest.raises(ConfigError):
+            EmbeddingModel(**kwargs)
+
+    def test_zero_weights_switch_features_off(self):
+        model = EmbeddingModel(dim=32, stem_weight=0.0, bigram_weight=0.0)
+        text = "configuration of the configured files"
+        model.embed(text)
+        assert set(model._token_vectors) == set(model.tokenizer.content_tokens(text))
+
+    def test_accepts_numpy_integer_dim(self):
+        assert EmbeddingModel(dim=np.int64(32)).embed("x").shape == (32,)
+
 
 class TestCosineHelpers:
     def test_cosine_similarity_bounds(self):
