@@ -97,7 +97,7 @@ def run_dedup_case(docs_per_domain: int, *, seed: int = 7) -> Dict[str, object]:
 
 
 def run_embed_case(docs_per_domain: int, *, seed: int = 9) -> Dict[str, object]:
-    """Legacy per-text embed loop vs the batched slab kernel (bitwise equal),
+    """Legacy per-text embed loop vs the batched row-table kernel (bitwise equal),
     timed cold (fresh model, every key a token-vector miss) and warm."""
     texts = [d.text for d in prep_corpus(docs_per_domain, seed=seed)]
 

@@ -227,7 +227,8 @@ def bench_prep(env: Dict[str, str], quick: bool) -> Dict[str, object]:
         "and vectorized candidate verification replace the per-document "
         "matrix + per-band dict probing.",
         "embed_batch": "one tokenizer pass, one IDF/unit-vector lookup per "
-        "distinct key, column-slab accumulation; bitwise-equal to per-text "
+        "distinct key, one sequential np.add.accumulate per text over rows "
+        "of one token-vector table; bitwise-equal to per-text "
         "embed. fit_idf is a single Counter merge over the same pass. Cold "
         "rows build a fresh model per repeat, so every distinct key is a "
         "token-vector miss: the misses are generated in one batch (SeedSequence "

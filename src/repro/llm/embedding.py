@@ -22,7 +22,9 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +56,8 @@ _MASK32 = 0xFFFFFFFF
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 _INF = float("inf")
+# Rows of a fresh model's token-vector table; it doubles when full.
+_INITIAL_ROWS = 1024
 
 
 def _hash_consts(init: int, mult: int, calls: int) -> List[Tuple[int, int]]:
@@ -180,7 +184,10 @@ class EmbeddingModel:
     stem_weight: float = 0.4
     bigram_weight: float = 0.25
     tokenizer: Tokenizer = field(default_factory=default_tokenizer)
-    _token_vectors: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    # Token vectors live in one float32 row table; ``_rows`` maps each key
+    # to its row, in the order the keys were first seen.
+    _rows: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
     _doc_freq: Dict[str, int] = field(default_factory=dict, repr=False)
     _num_docs: int = field(default=0, repr=False)
     # Streaming IDF state (see partial_fit_idf): once pinned, embeddings are
@@ -201,6 +208,7 @@ class EmbeddingModel:
         # weight of 0 switches its feature off.
         if not (0.0 <= self.stem_weight < _INF and 0.0 <= self.bigram_weight < _INF):
             raise ConfigError("stem_weight and bigram_weight must be finite and >= 0")
+        self._table = np.empty((_INITIAL_ROWS, self.dim), dtype=np.float32)
 
     # ------------------------------------------------------------------ IDF
     def fit_idf(self, corpus: Iterable[str]) -> "EmbeddingModel":
@@ -301,28 +309,44 @@ class EmbeddingModel:
         return math.log((1 + self._num_docs) / (1 + df)) + 1.0
 
     # -------------------------------------------------------------- vectors
-    def _unit_vectors(self, keys: Iterable[str]) -> List[np.ndarray]:
-        """Cached unit vectors of distinct ``keys``; every missing key is
-        generated in one :func:`_token_vector_block` call."""
-        cache = self._token_vectors
-        keys = list(keys)
-        missing = [key for key in keys if key not in cache]
-        if missing:
-            cache.update(zip(missing, _token_vector_block(missing, self.seed, self.dim)))
-        return [cache[key] for key in keys]
+    @property
+    def _token_vectors(self) -> Mapping[str, np.ndarray]:
+        """Read-only ``key -> unit token vector`` view of the row table."""
+        table = self._table[: len(self._rows)].view()
+        table.flags.writeable = False
+        return MappingProxyType({key: table[row] for key, row in self._rows.items()})
+
+    def _fill_rows(self, start: int) -> None:
+        """Generate the vectors of the keys added to ``_rows`` since row
+        ``start`` in one :func:`_token_vector_block` call, growing the table
+        by doubling when they do not fit."""
+        rows = self._rows
+        end = len(rows)
+        if end == start:
+            return
+        # Dicts keep insertion order, so the new keys are the last ones.
+        keys = list(islice(reversed(rows), end - start))[::-1]
+        if end > self._table.shape[0]:
+            grown = np.empty((max(end, 2 * self._table.shape[0]), self.dim), dtype=np.float32)
+            grown[:start] = self._table[:start]
+            self._table = grown
+        self._table[start:end] = _token_vector_block(keys, self.seed, self.dim)
 
     def _contributions(
         self, token_lists: Sequence[Sequence[str]]
-    ) -> Tuple[Dict[str, int], List[List[int]], List[List[float]]]:
-        """Per text, the ``(key id, weight)`` adds of an embedding, in order.
+    ) -> Tuple[List[List[int]], List[List[float]]]:
+        """Per text, the ``(table row, weight)`` adds of an embedding, in order.
 
         Each content token adds its vector at its IDF weight, followed by
         its ``stem_len`` prefix at ``weight * stem_weight`` when the token is
-        longer; the adjacent bigrams then add at ``bigram_weight``.  Returns
-        the distinct keys (dict order = id) and per-text id / weight lists.
+        longer; the adjacent bigrams then add at ``bigram_weight``.  A text
+        without content tokens gets the row of ``"<empty>"`` (which cannot
+        be a content token) and no weights.  Every key seen for the first
+        time gets a row, and all their vectors are generated in one batch.
         """
-        key_ids: Dict[str, int] = {}
-        key_of = key_ids.setdefault
+        rows = self._rows
+        start = len(rows)
+        row_of = rows.setdefault
         idf_cache: Dict[str, float] = {}
         stem_weight = self.stem_weight
         stem_len = self.stem_len
@@ -332,88 +356,54 @@ class EmbeddingModel:
         for tokens in token_lists:
             ids: List[int] = []
             weights: List[float] = []
+            if not tokens:
+                ids.append(row_of("<empty>", len(rows)))
             for token in tokens:
                 weight = idf_cache.get(token)
                 if weight is None:
                     weight = idf_cache[token] = self._idf(token)
-                ids.append(key_of(token, len(key_ids)))
+                ids.append(row_of(token, len(rows)))
                 weights.append(weight)
                 if stem_weight > 0 and len(token) > stem_len:
-                    ids.append(key_of(token[:stem_len], len(key_ids)))
+                    ids.append(row_of(token[:stem_len], len(rows)))
                     weights.append(weight * stem_weight)
             if bigram_weight > 0:
                 for left, right in zip(tokens, tokens[1:]):
-                    ids.append(key_of(f"{left}##{right}", len(key_ids)))
+                    ids.append(row_of(f"{left}##{right}", len(rows)))
                     weights.append(bigram_weight)
             contrib_ids.append(ids)
             contrib_weights.append(weights)
-        return key_ids, contrib_ids, contrib_weights
+        self._fill_rows(start)
+        return contrib_ids, contrib_weights
 
     def embed(self, text: str) -> np.ndarray:
         """Embed ``text`` into a unit-norm float32 vector."""
-        tokens = self.tokenizer.content_tokens(text)
-        if not tokens:
-            return self._unit_vectors(["<empty>"])[0].copy()
-        key_ids, (ids,), (weights,) = self._contributions([tokens])
-        vectors = self._unit_vectors(key_ids)
-        acc = np.zeros(self.dim, dtype=np.float32)
-        for kid, weight in zip(ids, weights):
-            acc += weight * vectors[kid]
-        return normalize(acc).astype(np.float32)
+        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """Embed many texts; returns an ``(n, dim)`` float32 matrix.
 
-        Bit-identical to stacking per-text :meth:`embed` calls, but batched:
-        one tokenizer pass, one IDF lookup per distinct token, one cache
-        lookup per distinct key with every missing key generated in a single
-        batch, and the accumulation runs as column-slab adds over texts
-        sorted by contribution count. Each text's contributions are applied
-        in the same order as :meth:`embed` (rows are independent, and
-        float32 elementwise ops do not reassociate across rows), so every
-        intermediate rounding step matches the sequential path exactly.
+        One tokenizer pass, one IDF lookup per distinct token and one table
+        row per distinct key.  Each text sums its weighted rows with one
+        ``np.add.accumulate`` along its own contributions: accumulate adds
+        sequentially in float32, in the order the tokens occur, so every
+        rounding step is that of a scalar ``acc += weight * vector`` loop
+        (weights are float64 until they meet a float32 vector, where NEP 50
+        casts them to float32, so pre-casting them rounds the same way).
+        Only one text's products are held at a time.
         """
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float32)
         token_lists = self.tokenizer.content_tokens_many(list(texts))
-        n = len(token_lists)
-        key_ids, contrib_ids, contrib_weights = self._contributions(token_lists)
-        # "<empty>" cannot be a content token, so it never collides.
-        empty_id = key_ids.setdefault("<empty>", len(key_ids)) if not all(token_lists) else -1
-        table = np.stack(self._unit_vectors(key_ids))
-        counts = np.array([len(ids) for ids in contrib_ids], dtype=np.int64)
-        order = np.argsort(-counts, kind="stable")
-        sorted_counts = counts[order]
-        flat_ids = np.array(
-            [i for ids in contrib_ids for i in ids], dtype=np.int64
-        )
-        # Weights are float64 in the scalar path until they hit the float32
-        # accumulator; NEP 50 converts them to float32 at that point, so
-        # pre-casting the weight array reproduces the same rounding.
-        flat_weights = np.array(
-            [w for weights in contrib_weights for w in weights], dtype=np.float32
-        )
-        offsets = np.zeros(n, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        sorted_offsets = offsets[order]
-        acc = np.zeros((n, self.dim), dtype=np.float32)
-        max_contribs = int(sorted_counts[0]) if n else 0
-        active = n
-        for step in range(max_contribs):
-            # Texts are sorted by contribution count, so the rows still
-            # needing a step-th add form a shrinking prefix.
-            while active > 0 and sorted_counts[active - 1] <= step:
-                active -= 1
-            if active == 0:
-                break
-            src = sorted_offsets[:active] + step
-            acc[:active] += (
-                flat_weights[src][:, None] * table[flat_ids[src]]
-            )
-        out = np.empty((n, self.dim), dtype=np.float32)
-        out[order] = acc
-        for i, tokens in enumerate(token_lists):
-            out[i] = normalize(out[i]).astype(np.float32) if tokens else table[empty_id]
+        contrib_ids, contrib_weights = self._contributions(token_lists)
+        table = self._table
+        out = np.empty((len(token_lists), self.dim), dtype=np.float32)
+        for row, ids, weights in zip(out, contrib_ids, contrib_weights):
+            if not weights:
+                row[:] = table[ids[0]]
+                continue
+            products = np.asarray(weights, dtype=np.float32)[:, None] * table[ids]
+            row[:] = normalize(np.add.accumulate(products, axis=0, out=products)[-1])
         return out
 
     def similarity(self, a: str, b: str) -> float:

@@ -27,6 +27,7 @@ Detection quality is measurable against the corpus generator's
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -42,8 +43,10 @@ from ..utils import derive_rng, stable_hash
 
 _MERSENNE = (1 << 61) - 1
 
-# Shingle-value block size per signature kernel call: bounds the (P, block)
-# int64 buffers to a few MB (measured fastest width on the perf harness).
+# Shingle-value block size per signature kernel call (measured fastest
+# width on the perf harness).  It caps the two (P, block) int64 kernel
+# buffers, 2 x 16 MiB at P = 64; a call signing fewer values sizes them to
+# its own total instead.
 _SIGNATURE_BLOCK = 1 << 15
 
 
@@ -408,8 +411,20 @@ class MinHashDeduper:
         verify_threshold: float = 0.6,
         seed: int = 0,
     ) -> None:
+        sizes = {
+            "num_permutations": num_permutations,
+            "bands": bands,
+            "rows_per_band": rows_per_band,
+            "shingle_size": shingle_size,
+        }
+        for name, value in sizes.items():
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if bands * rows_per_band != num_permutations:
             raise ConfigError("bands * rows_per_band must equal num_permutations")
+        # The chained comparison rejects NaN, which would verify nothing.
+        if not (isinstance(verify_threshold, numbers.Real) and 0.0 <= verify_threshold <= 1.0):
+            raise ConfigError(f"verify_threshold must be in [0, 1], got {verify_threshold!r}")
         self.num_permutations = num_permutations
         self.bands = bands
         self.rows_per_band = rows_per_band
@@ -481,7 +496,9 @@ class MinHashDeduper:
         np.cumsum(sizes[:-1], out=offsets[1:])
         a = self._a[:, None]
         b = self._b[:, None]
-        width = max(_SIGNATURE_BLOCK, int(sizes.max()))
+        # Sized to what this call signs: a streaming batch of a few dozen
+        # docs spends more on allocating full-block buffers than on hashing.
+        width = max(min(_SIGNATURE_BLOCK, int(values.shape[0])), int(sizes.max()))
         kernel_buf = np.empty((self.num_permutations, width), dtype=np.int64)
         shift_buf = np.empty_like(kernel_buf)
         start = 0

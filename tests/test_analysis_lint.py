@@ -12,15 +12,19 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
+    BaselineDiff,
     LintConfig,
+    LintResult,
     diff_against_baseline,
     format_github,
     format_json,
+    format_report,
     load_baseline,
     run_lint,
     scan_suppressions,
@@ -945,35 +949,56 @@ class TestTaxonomyCollection:
 # ------------------------------------------------------------- live meta-test
 
 
-class TestLiveRepository:
-    def test_lint_cli_passes_against_committed_baseline(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "lint.py"), "--quiet"],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+# The live-repository checks share one full-repo lint of each kind, the CLI
+# subprocess running while the in-process lint does: linting every default
+# path takes seconds, and each test used to pay for its own.
+LIVE_PATHS = ["src", "benchmarks", "tests", "scripts"]  # scripts/lint.py defaults
 
-    def test_lint_cli_json_format_reports_clean_repo(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "lint.py"),
-             "--format", "json"],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        payload = json.loads(proc.stdout)
-        assert payload["ok"] is True and payload["new"] == []
 
-    def test_seeded_violation_is_caught(self, tmp_path):
-        """A determinism regression in a hot path must fail the gate."""
-        result = run_lint(["src"], config=LintConfig(), repo_root=REPO_ROOT)
+@dataclass
+class LiveRuns:
+    cli: subprocess.CompletedProcess
+    result: LintResult
+    diff: BaselineDiff
+
+
+@pytest.fixture(scope="module")
+def live():
+    """``scripts/lint.py --format json`` and an in-process baseline diff,
+    both over the default paths."""
+    args = [sys.executable, str(REPO_ROOT / "scripts" / "lint.py"), "--format", "json"]
+    proc = subprocess.Popen(
+        args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=REPO_ROOT
+    )
+    try:
+        result = run_lint(LIVE_PATHS, config=LintConfig(), repo_root=REPO_ROOT)
         baseline = load_baseline(REPO_ROOT / "scripts" / "lint_baseline.json")
-        assert diff_against_baseline(result.violations, baseline).ok
+        diff = diff_against_baseline(result.violations, baseline)
+    finally:
+        stdout, stderr = proc.communicate(timeout=300)
+    cli = subprocess.CompletedProcess(args, proc.returncode, stdout, stderr)
+    return LiveRuns(cli, result, diff)
+
+
+class TestLiveRepository:
+    def test_lint_cli_passes_against_committed_baseline(self, live):
+        assert live.cli.returncode == 0, live.cli.stdout + live.cli.stderr
+        assert live.diff.ok, format_report(live.diff.new)
+        assert format_report(live.diff.new) == ""
+        rendered = format_report(live.result.violations)
+        assert len(rendered.splitlines()) == len(live.result.violations)
+
+    def test_lint_cli_json_format_reports_clean_repo(self, live):
+        assert live.cli.returncode == 0, live.cli.stdout + live.cli.stderr
+        payload = json.loads(live.cli.stdout)
+        assert payload["ok"] is True and payload["new"] == []
+        assert payload["files_checked"] == live.result.files_checked
+        assert len(payload["baselined"]) == len(live.diff.baselined)
+
+    def test_seeded_violation_is_caught(self, tmp_path, live):
+        """A determinism regression in a hot path must fail the gate."""
+        assert live.diff.ok
+        baseline = load_baseline(REPO_ROOT / "scripts" / "lint_baseline.json")
         # Simulate the regression in a scratch copy of the hot-path scope.
         scratch = tmp_path / "src" / "repro" / "inference"
         scratch.mkdir(parents=True)

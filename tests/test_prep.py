@@ -147,6 +147,37 @@ class TestDedup:
         with pytest.raises(ConfigError):
             MinHashDeduper(num_permutations=64, bands=10, rows_per_band=4)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # 0 * 0 == 0 passes the band product check; such a deduper
+            # kept 1 of 3 identical docs in dedup but all 3 incrementally.
+            {"num_permutations": 0, "bands": 0, "rows_per_band": 0},
+            {"num_permutations": -8, "bands": -2, "rows_per_band": 4},
+            {"num_permutations": 64.0},
+            {"bands": 16.0},
+            {"rows_per_band": "4"},
+            {"shingle_size": 0},
+            {"shingle_size": 2.5},
+            {"verify_threshold": float("nan")},
+            {"verify_threshold": -0.1},
+            {"verify_threshold": 1.5},
+            {"verify_threshold": "0.6"},
+        ],
+        ids=repr,
+    )
+    def test_minhash_rejects_bad_config(self, kwargs):
+        with pytest.raises(ConfigError):
+            MinHashDeduper(**kwargs)
+
+    def test_minhash_accepts_boundary_config(self):
+        for threshold in (0.0, 1.0):
+            assert MinHashDeduper(verify_threshold=threshold).verify_threshold == threshold
+        deduper = MinHashDeduper(
+            num_permutations=np.int64(1), bands=1, rows_per_band=1, shingle_size=1
+        )
+        assert deduper.signature_many([np.array([5], dtype=np.int64)]).shape == (1, 1)
+
     def test_line_dedup_strips_boilerplate(self):
         docs = [
             _doc("unique one. shared footer line.", "a"),

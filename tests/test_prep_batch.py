@@ -9,6 +9,8 @@ embedding matrices, and identical HNSW graphs and search results.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,10 @@ from benchmarks.perf._legacy_prep import (
     legacy_shingles,
 )
 from repro.data.synth import CorpusBuilder, CorpusConfig, TrainingDocument
+from repro.llm import embedding as embedding_module
 from repro.llm.embedding import EmbeddingModel
 from repro.llm.tokenizer import Tokenizer
+from repro.prep import dedup as dedup_module
 from repro.prep.dedup import (
     _MERSENNE,
     MinHashDeduper,
@@ -98,6 +102,35 @@ class TestMinHashParity:
         for i, text in enumerate(texts):
             expected = old.signature(legacy_shingles(text))
             assert np.array_equal(signatures[i], expected), f"doc {i}"
+
+    @staticmethod
+    def _assert_rows_match_signature(deduper, batch):
+        signatures = deduper.signature_many(batch)
+        assert signatures.shape == (len(batch), deduper.num_permutations)
+        for i, values in enumerate(batch):
+            expected = deduper.signature(set(values.tolist()))
+            assert np.array_equal(signatures[i], expected), f"doc {i}"
+
+    def test_signature_many_block_boundaries(self, corpus, monkeypatch):
+        # With a 64-value block the corpus spans many kernel blocks, and the
+        # 200-token doc in the middle is wider than a block on its own.
+        monkeypatch.setattr(dedup_module, "_SIGNATURE_BLOCK", 64)
+        texts = [d.text for d in corpus]
+        wide = " ".join(f"w{i}" for i in range(200))
+        deduper = MinHashDeduper()
+        values = shingle_hashes_many(texts[:10] + [wide] + texts[10:] + [""])
+        sizes = [v.shape[0] for v in values]
+        assert sizes[10] > 64 and sum(sizes) > 10 * 64 and sizes[-1] == 0
+        self._assert_rows_match_signature(deduper, values)
+        self._assert_rows_match_signature(deduper, [values[10]])
+        self._assert_rows_match_signature(deduper, [values[0]])
+        self._assert_rows_match_signature(deduper, [values[-1], values[-1]])
+
+    def test_signature_many_doc_wider_than_default_block(self, corpus):
+        text = " ".join(f"t{i}" for i in range(dedup_module._SIGNATURE_BLOCK + 100))
+        values = shingle_hashes_many([corpus[0].text, text, corpus[1].text])
+        assert values[1].shape[0] > dedup_module._SIGNATURE_BLOCK
+        self._assert_rows_match_signature(MinHashDeduper(seed=3), values)
 
     def test_dedup_output_matches_legacy(self, corpus):
         new = MinHashDeduper().dedup(corpus)
@@ -181,6 +214,52 @@ class TestEmbeddingParity:
         assert new._doc_freq == old._doc_freq
         assert new._num_docs == old._num_docs
         assert np.array_equal(new.embed_batch(texts), old.embed_batch(texts))
+
+    def test_row_table_grows_across_interleaved_calls(self, corpus, monkeypatch):
+        monkeypatch.setattr(embedding_module, "_INITIAL_ROWS", 8)
+        texts = [d.text for d in corpus][:90]
+        model = EmbeddingModel(dim=32, seed=4)
+        oracle = LegacyEmbeddingModel(dim=32, seed=4)
+        assert model._table.shape[0] == 8
+        # Embeddings read the pinned stats of texts[:30] until the refresh.
+        model.fit_idf(texts[:30]).partial_fit_idf(texts[30:60])
+        oracle.fit_idf(texts[:30])
+
+        def check(batch):
+            expected = np.stack([oracle.embed(t) for t in batch])
+            assert np.array_equal(model.embed_batch(batch), expected)
+
+        # "<empty>" gets its first row mid-batch, after the first text's keys.
+        check([texts[0], "", texts[1], "   "])
+        for i in range(2, 60, 7):
+            assert np.array_equal(model.embed(texts[i]), oracle.embed(texts[i]))
+            check(texts[i + 1 : i + 7])
+        assert model.refresh(0.0)
+        oracle.fit_idf(texts[30:60])
+        check(texts[60:] + [""])
+        assert np.array_equal(model.embed(""), oracle.embed(""))
+        assert model._table.shape[0] >= 64 * 8
+        view = model._token_vectors
+        assert len(view) == len(model._rows) == len(oracle._token_vectors)
+        for key, vec in view.items():
+            assert not vec.flags.writeable
+            assert np.array_equal(vec, oracle._unit_vector(key)), key
+
+    def test_embed_batch_holds_one_text_of_products(self, corpus):
+        # A batch-wide (contributions x dim) product matrix would need
+        # ``batch_products`` bytes at once; one text's products are far less.
+        texts = [d.text for d in corpus]
+        model = EmbeddingModel(dim=256, seed=6).fit_idf(texts)
+        model.embed_batch(texts)  # every key has a row: the table stays put
+        ids, _ = model._contributions(model.tokenizer.content_tokens_many(texts))
+        batch_products = sum(map(len, ids)) * model.dim * 4
+        tracemalloc.start()
+        try:
+            model.embed_batch(texts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < batch_products / 4, (peak, batch_products)
 
     def test_fit_idf_accumulates_across_calls(self):
         texts_a = ["alpha beta", "beta gamma"]
